@@ -23,6 +23,14 @@
 //! banks and the all-rates oracle reuse a single table lowering instead
 //! of rebuilding decoder state per rate.
 //!
+//! Two packet bodies execute the grid, chosen by whether a point's next
+//! packet depends on the last verdict. The *sequential* body runs
+//! rate-adapting policies, HARQ attempt chains, and every cell
+//! transmission one attempt at a time through one receive call; the
+//! *batched* body runs everything else — PHY-only points and policies
+//! that only observe — as lockstep packet blocks of shared-channel
+//! groups, a plain point being a group of one.
+//!
 //! Redundant per-packet work is amortized *across* grid points too:
 //! scenarios that share `(rate, channel, params, SNR, seed, packets,
 //! payload)` and differ only in decoder or in a non-rate-adapting link
@@ -90,7 +98,7 @@ use wilis_channel::{
     resolve_slot, AwgnChannel, AwgnModel, Channel, ChannelModel, FadingModel, ReplayModel,
     SlotOutcome, SnrDb, TraceModel, TxPower,
 };
-use wilis_fec::{CodeRate, CompiledTrellis, Llr, MAX_BATCH_LANES, MAX_HINT};
+use wilis_fec::{CompiledTrellis, Llr, MAX_BATCH_LANES, MAX_HINT};
 use wilis_fxp::rng::{mix_seed, SmallRng};
 use wilis_fxp::Cplx;
 use wilis_lis::registry::{Params, Registry, RegistryError};
@@ -98,9 +106,9 @@ use wilis_mac::cell::{
     BackoffState, CellMetrics, ContentionPolicy, CsmaBackoff, SlotView, SlottedAloha, TdmaOracle,
     TxDecision,
 };
-use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, Oracle};
+use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, LinkVerdict, Oracle};
 use wilis_mac::ppr::PprConfig;
-use wilis_mac::{ArqLink, HarqConfig, HarqLink, PprLink, SoftRate, SoftRateLink};
+use wilis_mac::{ArqLink, HarqConfig, HarqCore, HarqLink, PprLink, SoftRate, SoftRateLink};
 use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
 
@@ -149,14 +157,12 @@ pub fn channel_registry() -> ChannelSlot {
     reg
 }
 
-/// The code rate a link policy will run at, resolved from the
-/// engine-filled `initial_rate_mbps` parameter the way the softrate
-/// factory resolves its initial [`PhyRate`].
-fn link_param_code_rate(p: &Params) -> CodeRate {
+/// The rate a link policy starts at, resolved from the engine-filled
+/// `initial_rate_mbps` parameter.
+fn link_param_rate(p: &Params) -> PhyRate {
     p.get_f64("initial_rate_mbps")
         .and_then(|m| PhyRate::all().iter().copied().find(|r| r.mbps() == m))
         .unwrap_or(PhyRate::Qam16Half)
-        .code_rate()
 }
 
 /// The stock link-policy registry, mirroring [`channel_registry`]:
@@ -197,7 +203,7 @@ pub fn link_registry() -> LinkSlot {
         let bits = p.get_u64("payload_bits").unwrap_or(1704);
         let attempts = p.get_u64("attempts").unwrap_or(4) as u32;
         let combining = p.get_bool("combining").unwrap_or(true);
-        let rate = link_param_code_rate(p);
+        let rate = link_param_rate(p).code_rate();
         let config = HarqConfig::chase(attempts).with_combining(combining);
         Box::new(HarqLink::new(bits, config, rate))
     });
@@ -205,7 +211,7 @@ pub fn link_registry() -> LinkSlot {
         let bits = p.get_u64("payload_bits").unwrap_or(1704);
         let attempts = p.get_u64("attempts").unwrap_or(4) as u32;
         let combining = p.get_bool("combining").unwrap_or(true);
-        let rate = link_param_code_rate(p);
+        let rate = link_param_rate(p).code_rate();
         let schedule = match p.get("ir_phases") {
             None => HarqConfig::default_ir_schedule(rate),
             // An unparsable phase becomes usize::MAX — outside every mask
@@ -226,10 +232,7 @@ pub fn link_registry() -> LinkSlot {
     });
     reg.register("softrate", |p| {
         let bits = p.get_u64("payload_bits").unwrap_or(1704).max(1) as usize;
-        let initial = p
-            .get_f64("initial_rate_mbps")
-            .and_then(|m| PhyRate::all().iter().copied().find(|r| r.mbps() == m))
-            .unwrap_or(PhyRate::Qam16Half);
+        let initial = link_param_rate(p);
         let controller = match (p.get_f64("pber_lo"), p.get_f64("pber_hi")) {
             (Some(lo), Some(hi)) => SoftRate::with_thresholds(initial, lo, hi),
             _ => SoftRate::for_packet_bits(initial, bits),
@@ -618,7 +621,9 @@ type EnvFactory = dyn Fn() -> SweepEnv + Send + Sync;
 /// sharing a single transmit + channel realization per packet.
 #[derive(Debug, Clone)]
 enum Job {
-    /// A scenario that must run alone (its link policy steers the rate).
+    /// A scenario on the sequential body: a contention cell, a link
+    /// policy that steers the rate or combines attempts, or a point with
+    /// a scheduled injected panic.
     Solo(usize),
     /// Scenarios sharing `(rate, channel, params, snr, seed, packets,
     /// payload)` — one channel realization serves every member.
@@ -673,11 +678,12 @@ pub enum StopMetric {
 /// stops observing at its stop point, so fused results remain
 /// bit-identical to solo runs.
 ///
-/// HARQ scenarios evaluate the boundary on *logical* packets (the seed
-/// schedule axis) while the interval uses the attempt-level tally that
-/// [`ScenarioResult::packets`] reports. Contention cells ignore stopping
-/// rules: a cell's slot budget is the workload definition, not a
-/// Monte-Carlo depth.
+/// The sequential body evaluates the boundary on *logical* packets (the
+/// seed schedule axis) while the interval uses the attempt-level tally
+/// that [`ScenarioResult::packets`] reports; the two coincide except for
+/// combining HARQ policies, whose packets may take several attempts.
+/// Contention cells ignore stopping rules: a cell's slot budget is the
+/// workload definition, not a Monte-Carlo depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingRule {
     /// The estimate whose confidence interval drives stopping.
@@ -1081,66 +1087,80 @@ impl SweepRunner {
                 sc.link.as_str(),
                 sc.contention.as_str(),
             );
+            // Values no run can give meaning to: a NaN SNR simulates
+            // garbage that would then be cached, an empty packet has no
+            // per-packet BER, and a zero budget reports 0/0 as BER 0.
+            let reject = |problem: &str| {
+                Err(RegistryError::invalid_config(format!(
+                    "scenario {i} {problem}"
+                )))
+            };
+            if !sc.snr_db.is_finite() {
+                return reject(&format!("has a non-finite snr_db ({})", sc.snr_db));
+            }
+            if sc.payload_bits == 0 {
+                return reject("carries zero payload bits");
+            }
+            if sc.packets == 0 {
+                return reject("has a zero packet budget");
+            }
             if sc.contention != "p2p" && sc.nodes < 1 {
-                return Err(RegistryError::invalid_config(format!(
-                    "scenario {i} puts zero nodes in contention cell {:?}: a cell \
-                     needs at least one node",
+                return reject(&format!(
+                    "puts zero nodes in contention cell {:?}: a cell needs at least one node",
                     sc.contention
-                )));
+                ));
             }
             if !checked.contains(&key) {
                 system.receiver(&SystemConfig::new(sc.rate, &sc.decoder))?;
                 channels.build(&sc.channel, &sc.channel_params)?;
-                if sc.link != "none" {
-                    // Built with the run-time parameters (payload size,
-                    // initial rate), so rate-dependent validity checks
-                    // see what the execution paths will actually build.
-                    let mut policy = links.build(&sc.link, &runtime_link_params(sc))?;
-                    // Factories are infallible; a policy that swallowed a
-                    // bad configuration reports it here instead.
-                    if let Some(problem) = policy.config_error() {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} is misconfigured: {problem}",
-                            sc.link
-                        )));
-                    }
-                    // Every name resolved, but the *pairing* is invalid:
-                    // both halves come straight from user configuration,
-                    // so this is an error, not a panic.
-                    if policy.needs_pber() && DecoderKind::from_registry_name(&sc.decoder).is_none()
-                    {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} adapts on predicted PBER, but decoder \
-                             {:?} exports no SoftPHY BER estimate (its estimate \
-                             would be a constant 0.0); pair it with a soft decoder \
-                             such as \"sova\" or \"bcjr\"",
-                            sc.link, sc.decoder
-                        )));
-                    }
-                    if policy.harq().is_some()
-                        && DecoderKind::from_registry_name(&sc.decoder).is_none()
-                    {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} combines soft LLR planes across \
-                             retransmissions, but decoder {:?} makes hard decisions \
-                             and would discard them; pair it with a soft decoder \
-                             such as \"sova\" or \"bcjr\"",
-                            sc.link, sc.decoder
-                        )));
-                    }
-                }
-                if sc.contention != "p2p" {
-                    contentions.build(&sc.contention, &sc.contention_params)?;
-                    if sc.link != "none" {
-                        let policy = links.build(&sc.link, &runtime_link_params(sc))?;
-                        if policy.adapts_rate() {
+                // Built with the run-time parameters (payload size,
+                // initial rate), so rate-dependent validity checks see
+                // what the execution paths will actually build.
+                let adapts = match build_link(&links, sc)? {
+                    Some(mut policy) => {
+                        // Factories are infallible; a policy that
+                        // swallowed a bad configuration reports it here.
+                        if let Some(problem) = policy.config_error() {
                             return Err(RegistryError::invalid_config(format!(
-                                "link policy {:?} steers the transmit rate, which a \
-                                 contention cell does not support: every node of a \
-                                 cell transmits at the scenario rate",
+                                "link policy {:?} is misconfigured: {problem}",
                                 sc.link
                             )));
                         }
+                        // Every name resolved, but the *pairing* is
+                        // invalid: both halves come straight from user
+                        // configuration, so this is an error, not a panic.
+                        let hard = DecoderKind::from_registry_name(&sc.decoder).is_none();
+                        if policy.needs_pber() && hard {
+                            return Err(RegistryError::invalid_config(format!(
+                                "link policy {:?} adapts on predicted PBER, but decoder \
+                                 {:?} exports no SoftPHY BER estimate (its estimate \
+                                 would be a constant 0.0); pair it with a soft decoder \
+                                 such as \"sova\" or \"bcjr\"",
+                                sc.link, sc.decoder
+                            )));
+                        }
+                        if policy.harq().is_some() && hard {
+                            return Err(RegistryError::invalid_config(format!(
+                                "link policy {:?} combines soft LLR planes across \
+                                 retransmissions, but decoder {:?} makes hard decisions \
+                                 and would discard them; pair it with a soft decoder \
+                                 such as \"sova\" or \"bcjr\"",
+                                sc.link, sc.decoder
+                            )));
+                        }
+                        policy.adapts_rate()
+                    }
+                    None => false,
+                };
+                if sc.contention != "p2p" {
+                    contentions.build(&sc.contention, &sc.contention_params)?;
+                    if adapts {
+                        return Err(RegistryError::invalid_config(format!(
+                            "link policy {:?} steers the transmit rate, which a \
+                             contention cell does not support: every node of a \
+                             cell transmits at the scenario rate",
+                            sc.link
+                        )));
                     }
                 }
                 checked.push(key);
@@ -1386,12 +1406,21 @@ impl SweepRunner {
             for (i, slot) in results.iter_mut().enumerate() {
                 work[i % threads].push((i, slot));
             }
-            for bundle in work {
-                scope.spawn(move || {
-                    for (i, slot) in bundle {
-                        *slot = Some(f(i));
-                    }
-                });
+            let workers: Vec<_> = work
+                .into_iter()
+                .map(|bundle| {
+                    scope.spawn(move || {
+                        for (i, slot) in bundle {
+                            *slot = Some(f(i));
+                        }
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope waits only for the closures, and a
+            // worker still exiting holds its allocator arena, which makes
+            // the next run's workers grow a fresh one.
+            for worker in workers {
+                supervisor::propagate_join(worker.join());
             }
         });
         results
@@ -1417,96 +1446,136 @@ impl std::fmt::Debug for SweepRunner {
     }
 }
 
-/// Per-rate receiver machinery, built lazily: PHY-only scenarios and
-/// non-adapting link policies only ever touch the scenario's own rate;
-/// rate-adapting policies and the oracle fill in the rest on demand.
+/// Builds the scenario's seed-addressed channel model with `snr_db`
+/// filled in from the scenario — one construction for every body.
+fn build_channel(
+    channels: &ChannelSlot,
+    sc: &Scenario,
+) -> Result<Box<dyn ChannelModel>, RegistryError> {
+    let mut params = sc.channel_params.clone();
+    params.set("snr_db", &format!("{}", sc.snr_db));
+    channels.build(&sc.channel, &params)
+}
+
+/// Builds the scenario's link session from its run-time parameters, or
+/// `None` for a PHY-only (`"none"`) scenario.
+fn build_link(
+    links: &LinkSlot,
+    sc: &Scenario,
+) -> Result<Option<Box<dyn LinkPolicy>>, RegistryError> {
+    if sc.link == "none" {
+        return Ok(None);
+    }
+    links.build(&sc.link, &runtime_link_params(sc)).map(Some)
+}
+
+/// Builds a `decoder` receiver at `rate` on the SoftPHY hint-path
+/// demapper, paired with the rate's analytic BER estimator when the
+/// decoder is a builtin soft decoder.
+fn build_receiver(
+    system: &WilisSystem,
+    decoder: &str,
+    rate: PhyRate,
+) -> Result<(Receiver, Option<BerEstimator>), RegistryError> {
+    let mut config = SystemConfig::new(rate, decoder);
+    config.demapper_bits = ScalingFactors::hint_demapper_bits(rate.modulation());
+    let estimator =
+        DecoderKind::from_registry_name(decoder).map(|k| BerEstimator::analytic_for_rate(rate, k));
+    Ok((system.receiver(&config)?, estimator))
+}
+
+/// Per-rate receiver machinery of the sequential body, built lazily: a
+/// fixed-rate point only ever touches its own rate; rate-adapting
+/// policies add the rest on demand.
+#[derive(Default)]
 struct RateBank {
-    rx: Vec<Option<(Receiver, Option<BerEstimator>)>>,
+    rx: Vec<(PhyRate, (Receiver, Option<BerEstimator>))>,
 }
 
 impl RateBank {
-    fn new() -> Self {
-        Self {
-            rx: PhyRate::all().map(|_| None).into(),
-        }
-    }
-
     fn get(
         &mut self,
         system: &WilisSystem,
         decoder: &str,
-        kind: Option<DecoderKind>,
         rate: PhyRate,
     ) -> Result<&mut (Receiver, Option<BerEstimator>), RegistryError> {
-        let idx = rate_index(rate);
-        if self.rx[idx].is_none() {
-            let mut config = SystemConfig::new(rate, decoder);
-            config.demapper_bits = ScalingFactors::hint_demapper_bits(rate.modulation());
-            let estimator = kind.map(|k| BerEstimator::analytic_for_rate(rate, k));
-            self.rx[idx] = Some((system.receiver(&config)?, estimator));
-        }
-        Ok(self.rx[idx].as_mut().expect("filled above")) // lint: allow(panic-policy) — the branch above just populated this slot
-    }
-
-    /// Removes the built machinery for `rate` from the bank — the fused
-    /// execution path constructs through [`RateBank::get`] (one shared
-    /// code path with the solo loop) and then owns its single rate.
-    fn take(&mut self, rate: PhyRate) -> Option<(Receiver, Option<BerEstimator>)> {
-        self.rx[rate_index(rate)].take()
+        let idx = match self.rx.iter().position(|(r, _)| *r == rate) {
+            Some(idx) => idx,
+            None => {
+                self.rx.push((rate, build_receiver(system, decoder, rate)?));
+                self.rx.len() - 1
+            }
+        };
+        Ok(&mut self.rx[idx].1)
     }
 }
 
-fn rate_index(rate: PhyRate) -> usize {
-    PhyRate::all()
-        .iter()
-        .position(|&r| r == rate)
-        .expect("rate in table") // lint: allow(panic-policy) — PhyRate::all() contains every enum variant
+/// The Figure 7 oracle: one Viterbi receiver (and scratch) per rate,
+/// built lazily on the system's one compiled trellis instead of
+/// rebuilding decoder state per rate, plus the replay's own buffers.
+struct RateOracle {
+    trellis: Arc<CompiledTrellis>,
+    bank: Vec<Option<(Receiver, PhyScratch)>>,
+    samples: Vec<Cplx>,
+    got: RxResult,
 }
 
-/// Replays the packet at every rate against the identical channel
-/// realization (same channel seed) and returns the fastest rate that
-/// decoded error-free — the Figure 7 oracle, grounded on the
-/// seed-addressed [`ChannelModel`] contract. The oracle decodes with
-/// Viterbi (hard decisions suffice for ground truth); all eight per-rate
-/// receivers share the caller's one compiled trellis instead of
-/// rebuilding decoder state per rate.
-#[allow(clippy::too_many_arguments)]
-fn oracle_replay(
-    channel: &mut dyn ChannelModel,
-    trellis: &Arc<CompiledTrellis>,
-    chan_seed: u64,
-    payload: &[u8],
-    scramble_seed: u8,
-    oracle_rx: &mut [Option<(Receiver, PhyScratch)>],
-    samples: &mut Vec<Cplx>,
-    got: &mut RxResult,
-) -> Oracle {
-    let mut best = None;
-    for (ri, &rate) in PhyRate::all().iter().enumerate() {
-        let (rx, scratch) = oracle_rx[ri].get_or_insert_with(|| {
-            (
-                Receiver::viterbi_shared(rate, Arc::clone(trellis)),
-                PhyScratch::new(),
-            )
-        });
-        Transmitter::new(rate).tx_into(payload, scramble_seed, scratch, samples);
-        channel.apply(samples, chan_seed);
-        rx.rx_from(samples, payload.len(), scramble_seed, scratch, got);
-        if got.bit_errors(payload) == 0 {
-            best = Some(rate); // rates iterate slowest -> fastest
+impl RateOracle {
+    fn new(system: &WilisSystem) -> Self {
+        Self {
+            trellis: system.compiled_ieee80211(),
+            bank: PhyRate::all().map(|_| None).into(),
+            samples: Vec::new(),
+            got: RxResult::default(),
         }
     }
-    match best {
-        Some(rate) => Oracle::Best(rate),
-        None => Oracle::NoRate,
+
+    /// Replays the packet at every rate against the identical channel
+    /// realization (same channel seed) and returns the fastest rate that
+    /// decoded error-free — grounded on the seed-addressed
+    /// [`ChannelModel`] contract. Viterbi suffices: the oracle needs
+    /// ground truth, not hints.
+    fn replay(
+        &mut self,
+        channel: &mut dyn ChannelModel,
+        chan_seed: u64,
+        payload: &[u8],
+        scramble_seed: u8,
+    ) -> Oracle {
+        let Self {
+            trellis,
+            bank,
+            samples,
+            got,
+        } = self;
+        let mut best = None;
+        for (ri, &rate) in PhyRate::all().iter().enumerate() {
+            let (rx, scratch) = bank[ri].get_or_insert_with(|| {
+                (
+                    Receiver::viterbi_shared(rate, Arc::clone(trellis)),
+                    PhyScratch::new(),
+                )
+            });
+            Transmitter::new(rate).tx_into(payload, scramble_seed, scratch, samples);
+            channel.apply(samples, chan_seed);
+            rx.rx_from(samples, payload.len(), scramble_seed, scratch, got);
+            if got.bit_errors(payload) == 0 {
+                best = Some(rate); // rates iterate slowest -> fastest
+            }
+        }
+        match best {
+            Some(rate) => Oracle::Best(rate),
+            None => Oracle::NoRate,
+        }
     }
 }
 
 /// The Monte-Carlo accumulators of one grid point, with the per-packet
-/// accounting in one place. Both execution paths — the solo loop of
-/// [`run_scenario`] and the fused loop of [`run_group`] — tally through
-/// this struct, so the fused==solo bit-identity contract cannot be broken
-/// by editing one path's statistics and forgetting the other's.
+/// accounting in one place. Both packet bodies — the sequential one
+/// ([`run_scenario`], [`run_cell`]) and the batched one ([`run_group`]) —
+/// tally through this struct, so the fused==solo bit-identity contract
+/// cannot be broken by editing one body's statistics and forgetting the
+/// other's.
 struct PacketTally {
     hint_bins: Vec<HintBin>,
     packet_errors: u64,
@@ -1591,108 +1660,38 @@ impl PacketTally {
     }
 }
 
-/// Executes one scenario: the allocation-free steady-state loop at the
-/// heart of the engine.
-fn run_scenario(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    index: usize,
-    sc: &Scenario,
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Result<ScenarioResult, RegistryError> {
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-    let mut policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-        None
-    } else {
-        Some(links.build(&sc.link, &runtime_link_params(sc))?)
-    };
-    if policy.as_mut().is_some_and(|p| p.harq().is_some()) {
-        // Soft-combining replays the *same* payload per attempt, so the
-        // packet axis becomes an attempt loop of its own.
-        let policy = policy.expect("harq() probe above saw a policy"); // lint: allow(panic-policy) — is_some_and returned true, so the option is Some
-        return run_harq_scenario(&mut bank, channels, index, sc, policy, record, stopping);
-    }
-    let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
-    let shared_trellis = system.compiled_ieee80211();
+/// Draws a packet's payload bits into `payload` — a pure function of
+/// the packet seed, shared by every body.
+fn fill_payload(payload: &mut Vec<u8>, packet_seed: u64, bits: usize) {
+    let mut rng = SmallRng::seed_from_u64(packet_seed);
+    payload.clear();
+    payload.extend((0..bits).map(|_| rng.gen_bit()));
+}
 
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut got = RxResult::default();
-    // Oracle working memory, touched only by oracle-requesting policies.
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
+/// The scrambler seed of the packet with index `ident`: 1..=127,
+/// cycling with the index.
+fn scramble_seed(ident: u64) -> u8 {
+    (ident % 127 + 1) as u8
+}
 
-    let mut tally = PacketTally::new();
-    let mut current_rate = sc.rate;
-    let mut observed: u64 = 0;
-
-    for p in 0..sc.packets {
-        let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-        let scramble_seed = (p % 127 + 1) as u8;
-        let chan_seed = mix_seed(packet_seed, 1);
-
-        let (rx, estimator) = bank.get(system, &sc.decoder, decoder_kind, current_rate)?;
-        Transmitter::new(current_rate).tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-        channel.apply(&mut samples, chan_seed);
-        rx.rx_from(
-            &samples,
-            payload.len(),
-            scramble_seed,
-            &mut scratch,
-            &mut got,
-        );
-
-        let (errs_this_packet, predicted) =
-            tally.observe(&payload, &got, estimator.as_ref(), record);
-
-        if let Some(policy) = policy.as_mut() {
-            let oracle = if needs_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    &payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
-            };
-            let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: current_rate,
-                oracle,
-            };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            if let Some(next) = verdict.next_rate {
-                current_rate = next;
-            }
-        }
-        observed = u64::from(p) + 1;
-        if let Some(rule) = stopping {
-            if rule.is_boundary(observed) && rule.closed(&tally, observed, sc.payload_bits) {
-                break;
-            }
-        }
-    }
-
-    Ok(tally.into_result(index, sc, observed, policy.map(|p| p.metrics()), None))
+/// Shows one receive to a link session and returns its verdict — the
+/// engine's single fixed-rate check: a session that does not steer the
+/// rate (`adapts == false`: every fused member, HARQ chain, and cell
+/// node) must never ask to leave `ctx.rate`.
+fn link_verdict(
+    link: &mut dyn LinkPolicy,
+    adapts: bool,
+    got: &RxResult,
+    ctx: &LinkContext<'_>,
+) -> LinkVerdict {
+    let verdict = link.observe(got, &got.hints, ctx);
+    assert!(
+        adapts || verdict.next_rate.is_none() || verdict.next_rate == Some(ctx.rate),
+        "link policy {:?} declared adapts_rate() == false but asked to steer the \
+         transmit rate",
+        link.name()
+    );
+    verdict
 }
 
 /// Seed-stream tag for HARQ retransmission attempts, in the family of
@@ -1703,9 +1702,11 @@ fn run_scenario(
 /// retransmission, pure in `(scenario seed, packet, attempt)`.
 const HARQ_ATTEMPT_STREAM: u64 = 0x4A59_0000_0000_0000;
 
-/// The channel seed of HARQ attempt `attempt` of the packet with seed
-/// `packet_seed` — used identically by the point-to-point attempt loop
-/// and the cell path, so the two can never drift apart.
+/// The attempt seed of attempt `attempt` of the packet with seed
+/// `packet_seed`; its channel seed is `mix_seed(attempt seed, 1)`. Every
+/// attempt of the sequential body — solo or cell, combining or not —
+/// derives its seeds here; a non-combining attempt is always attempt 0,
+/// whose seed is the packet seed itself.
 fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         packet_seed
@@ -1714,99 +1715,139 @@ fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
     }
 }
 
-/// Executes one soft-combining HARQ scenario: `sc.packets` *logical*
-/// packets, each an attempt loop that retransmits the identical payload
-/// until the link policy closes it (delivered or budget exhausted).
+/// The working memory of the sequential body — one set per job, reused
+/// by every attempt it runs, so the steady state allocates nothing.
+#[derive(Default)]
+struct AttemptBuffers {
+    scratch: PhyScratch,
+    samples: Vec<Cplx>,
+    payload: Vec<u8>,
+    /// The attempt's fresh mother-code LLR plane.
+    mother: Vec<Llr>,
+    got: RxResult,
+}
+
+impl AttemptBuffers {
+    /// Transmits the payload at `rate`, punctured at `phase`, and pushes
+    /// it through the channel realization `chan_seed`.
+    // lint: no_alloc
+    fn transmit(
+        &mut self,
+        rate: PhyRate,
+        phase: usize,
+        scramble_seed: u8,
+        channel: &mut dyn ChannelModel,
+        chan_seed: u64,
+    ) {
+        Transmitter::with_phase(rate, phase).tx_into(
+            &self.payload,
+            scramble_seed,
+            &mut self.scratch,
+            &mut self.samples,
+        );
+        channel.apply(&mut self.samples, chan_seed);
+    }
+
+    /// Receives one attempt into `got`: the front end fills the fresh
+    /// mother-code plane at `phase`, a HARQ `core` absorbs it (the first
+    /// attempt retains, retransmissions saturating-add), and the decoder
+    /// runs on the combined plane — or on the fresh one when the policy
+    /// does not combine. The sequential body's one receive call.
+    // lint: no_alloc
+    fn receive(
+        &mut self,
+        rx: &mut Receiver,
+        core: Option<&mut HarqCore>,
+        phase: usize,
+        scramble_seed: u8,
+    ) {
+        let bits = self.payload.len();
+        rx.set_puncture_phase(phase);
+        rx.rx_front_end_into(&self.samples, bits, &mut self.scratch, &mut self.mother);
+        let plane: &[Llr] = match core {
+            Some(core) => {
+                core.absorb(&self.mother);
+                core.plane()
+            }
+            None => &self.mother,
+        };
+        rx.rx_decode_from(plane, bits, scramble_seed, &mut self.scratch, &mut self.got);
+    }
+}
+
+/// Executes one point-to-point scenario on the sequential body: the
+/// allocation-free steady-state loop for every point whose next packet
+/// depends on the last verdict (rate-adapting policies, HARQ attempt
+/// chains) and for any point the partition runs alone.
 ///
-/// Per attempt the transmitter punctures at the phase the policy's
-/// [`wilis_mac::HarqCore`] schedules (phase 0 for Chase; the IR schedule
-/// otherwise), the receiver front end produces the attempt's mother-code
-/// LLR plane, the core absorbs it (first attempt retains, retransmissions
-/// saturating-add), and the *combined* plane re-enters the decoder — so a
-/// retransmission decodes with everything earlier attempts learned.
-/// Every attempt's channel realization derives from
-/// [`harq_attempt_seed`]; attempt 0 draws exactly the seeds the plain
-/// solo loop draws.
-///
-/// The [`PacketTally`] observes every decode (one per attempt), so
-/// `ScenarioResult::packets` counts attempts — the same
-/// one-row-per-receive accounting the ARQ solo path produces.
-fn run_harq_scenario(
-    bank: &mut RateBank,
+/// Each of the `sc.packets` *logical* packets draws its payload and
+/// scramble seed once, then runs an attempt loop — transmit at the
+/// current rate, channel, [`AttemptBuffers::receive`], tally, link
+/// verdict. A combining policy retransmits the identical payload at the
+/// puncture phase its [`HarqCore`] schedules until the verdict closes
+/// the packet, each attempt drawing fresh channel noise through
+/// [`harq_attempt_seed`]; any other policy makes one attempt per packet.
+/// The [`PacketTally`] observes every decode, so
+/// `ScenarioResult::packets` counts attempts.
+fn run_scenario(
+    system: &WilisSystem,
     channels: &ChannelSlot,
+    links: &LinkSlot,
     index: usize,
     sc: &Scenario,
-    mut policy: Box<dyn LinkPolicy>,
     record: bool,
     stopping: Option<StoppingRule>,
 ) -> Result<ScenarioResult, RegistryError> {
-    let (mut rx, estimator) = bank
-        .take(sc.rate)
-        .expect("run_scenario populated the bank before dispatching here"); // lint: allow(panic-policy) — the caller's bank.get succeeded for this rate
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
+    let mut bank = RateBank::default();
+    bank.get(system, &sc.decoder, sc.rate)?;
+    let mut channel = build_channel(channels, sc)?;
+    let mut policy = build_link(links, sc)?;
+    let mut oracle = policy
+        .as_ref()
+        .is_some_and(|p| p.needs_oracle())
+        .then(|| RateOracle::new(system));
+    let adapts = policy.as_ref().is_some_and(|p| p.adapts_rate());
+    let mut buf = AttemptBuffers::default();
 
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut mother: Vec<Llr> = Vec::new();
-    let mut got = RxResult::default();
     let mut tally = PacketTally::new();
+    let mut current_rate = sc.rate;
     let mut receives: u64 = 0;
 
     for p in 0..sc.packets {
         let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
+        fill_payload(&mut buf.payload, packet_seed, sc.payload_bits);
         // Scramble identity follows the *logical* packet: a
         // retransmission is the same packet on the air.
-        let scramble_seed = (p % 127 + 1) as u8;
-
+        let scramble = scramble_seed(u64::from(p));
         loop {
-            {
-                let core = policy
-                    .harq()
-                    .expect("preflight pinned a combining policy on this path"); // lint: allow(panic-policy) — run_scenario dispatches here only when harq() is Some
-                let phase = core.tx_phase();
-                let chan_seed = mix_seed(harq_attempt_seed(packet_seed, core.attempt()), 1);
-                Transmitter::with_phase(sc.rate, phase).tx_into(
-                    &payload,
-                    scramble_seed,
-                    &mut scratch,
-                    &mut samples,
-                );
-                channel.apply(&mut samples, chan_seed);
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                core.absorb(&mother);
-                rx.rx_decode_from(
-                    core.plane(),
-                    payload.len(),
-                    scramble_seed,
-                    &mut scratch,
-                    &mut got,
-                );
-            }
+            let core = policy.as_mut().and_then(|l| l.harq());
+            let combining = core.is_some();
+            let (attempt, phase) = core
+                .as_ref()
+                .map_or((0, 0), |c| (c.attempt(), c.tx_phase()));
+            let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
+            let (rx, estimator) = bank.get(system, &sc.decoder, current_rate)?;
+            buf.transmit(current_rate, phase, scramble, channel.as_mut(), chan_seed);
+            buf.receive(rx, core, phase, scramble);
             receives += 1;
-            let (errs_this_packet, predicted) =
-                tally.observe(&payload, &got, estimator.as_ref(), record);
+            let (bit_errors, predicted_pber) =
+                tally.observe(&buf.payload, &buf.got, estimator.as_ref(), record);
+            let Some(link) = policy.as_mut() else { break };
             let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: sc.rate,
-                oracle: Oracle::Unavailable,
+                sent: &buf.payload,
+                bit_errors,
+                predicted_pber,
+                rate: current_rate,
+                oracle: match oracle.as_mut() {
+                    Some(o) => o.replay(channel.as_mut(), chan_seed, &buf.payload, scramble),
+                    None => Oracle::Unavailable,
+                },
             };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            assert!(
-                verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                "link policy {:?} declared adapts_rate() == false but asked to \
-                 steer the transmit rate",
-                policy.name()
-            );
-            if verdict.status != LinkStatus::Retransmit {
+            let verdict = link_verdict(link.as_mut(), adapts, &buf.got, &ctx);
+            if let Some(next) = verdict.next_rate {
+                current_rate = next;
+            }
+            if !combining || verdict.status != LinkStatus::Retransmit {
                 break;
             }
         }
@@ -1821,12 +1862,12 @@ fn run_harq_scenario(
         }
     }
 
-    Ok(tally.into_result(index, sc, receives, Some(policy.metrics()), None))
+    Ok(tally.into_result(index, sc, receives, policy.map(|p| p.metrics()), None))
 }
 
 /// Per-member receive state of a shared-channel job: everything that is
 /// *not* shared — receiver, estimator, scratch, link policy, and the same
-/// [`PacketTally`] the solo path accumulates through.
+/// [`PacketTally`] the sequential body accumulates through.
 struct GroupMember<'a> {
     index: usize,
     scenario: &'a Scenario,
@@ -1856,17 +1897,8 @@ impl<'a> GroupMember<'a> {
         index: usize,
         sc: &'a Scenario,
     ) -> Result<Self, RegistryError> {
-        let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-        let mut bank = RateBank::new();
-        bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-        let (rx, estimator) = bank
-            .take(sc.rate)
-            .expect("receiver built into the bank above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
-        let policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-            None
-        } else {
-            Some(links.build(&sc.link, &runtime_link_params(sc))?)
-        };
+        let (rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
+        let policy = build_link(links, sc)?;
         let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
         Ok(Self {
             index,
@@ -1898,21 +1930,25 @@ fn batch_blocks(packets: u32) -> impl Iterator<Item = u32> {
     (0..n_blocks).map(move |i| base + u32::from(i < bumped))
 }
 
-/// Executes one shared-channel job: the payload, transmit chain, and
-/// channel realization of each packet are computed once and every member
-/// scenario receives from the identical noisy samples. Bit-identical to
-/// running each member solo — the shared inputs are exactly the inputs
-/// each member would have derived from its own (equal) seed.
+/// Executes one shared-channel job on the batched body — the engine's
+/// only batched packet body, for points with no dependence between
+/// packets (PHY-only points and policies that neither steer the rate nor
+/// combine attempts; a plain point runs here as a group of one). The
+/// payload, transmit chain, and channel realization of each packet are
+/// computed once and every member scenario receives from the identical
+/// noisy samples. Bit-identical to running each member on the
+/// sequential body ([`run_scenario`]) — the shared inputs are exactly
+/// the inputs each member would have derived from its own (equal) seed.
 ///
 /// Packets run through the receivers in lockstep blocks of up to
 /// [`MAX_BATCH_LANES`] lanes (see [`batch_blocks`]): each block transmits
 /// and corrupts its packets first, then every member decodes the whole
 /// block with one batched receive, then the per-packet accounting replays
 /// in the original packet order so tallies and link policies observe the
-/// exact sequence the solo path produces. Members whose receive chains
-/// coincide share work inside a block — one front-end pass per demapper
-/// class, one decode per (rate, builtin decoder) class — because equal
-/// configurations produce bit-identical intermediate streams.
+/// exact sequence the sequential body produces. Members whose receive
+/// chains coincide share work inside a block — one front-end pass per
+/// demapper class, one decode per (rate, builtin decoder) class — because
+/// equal configurations produce bit-identical intermediate streams.
 fn run_group(
     system: &WilisSystem,
     channels: &ChannelSlot,
@@ -1932,9 +1968,7 @@ fn run_group(
         }
     }
 
-    let mut channel_params = lead.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", lead.snr_db));
-    let mut channel = match channels.build(&lead.channel, &channel_params) {
+    let mut channel = match build_channel(channels, lead) {
         Ok(c) => c,
         Err(e) => {
             for m in group {
@@ -1944,17 +1978,16 @@ fn run_group(
         }
     };
 
-    let shared_trellis = system.compiled_ieee80211();
-    let any_oracle = group.iter().any(|m| m.needs_oracle);
     let transmitter = Transmitter::new(lead.rate);
     let mut tx_scratch = PhyScratch::new();
     let mut lane_samples: Vec<Vec<Cplx>> = Vec::new();
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     let mut scramble_seeds: Vec<u8> = Vec::new();
     let mut oracles: Vec<Oracle> = Vec::new();
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
+    let mut oracle = group
+        .iter()
+        .any(|m| m.needs_oracle)
+        .then(|| RateOracle::new(system));
 
     // Front-end classes: members whose receive front ends agree (same
     // rate, same demapper configuration) produce bit-identical mother LLR
@@ -2018,30 +2051,18 @@ fn run_group(
         for k in 0..lanes {
             let p = first + k as u32;
             let packet_seed = mix_seed(lead.seed, u64::from(p));
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
             let payload = &mut payloads[k];
-            payload.clear();
-            payload.extend((0..lead.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (p % 127 + 1) as u8;
+            fill_payload(payload, packet_seed, lead.payload_bits);
+            let scramble = scramble_seed(u64::from(p));
             let chan_seed = mix_seed(packet_seed, 1);
             let samples = &mut lane_samples[k];
-            transmitter.tx_into(payload, scramble_seed, &mut tx_scratch, samples);
+            transmitter.tx_into(payload, scramble, &mut tx_scratch, samples);
             channel.apply(samples, chan_seed);
-            oracles.push(if any_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
+            oracles.push(match oracle.as_mut() {
+                Some(o) => o.replay(channel.as_mut(), chan_seed, payload, scramble),
+                None => Oracle::Unavailable,
             });
-            scramble_seeds.push(scramble_seed);
+            scramble_seeds.push(scramble);
         }
 
         // Stage 2 — every member decodes the whole block in lockstep:
@@ -2092,7 +2113,7 @@ fn run_group(
 
         // Stage 3 — accounting, packet-major then member, so each
         // member's tally and link policy observe packets in the same
-        // order the solo path delivers them.
+        // order the sequential body delivers them.
         for k in 0..lanes {
             let payload = &payloads[k];
             let done = u64::from(first) + k as u64 + 1;
@@ -2117,13 +2138,7 @@ fn run_group(
                             Oracle::Unavailable
                         },
                     };
-                    let verdict = policy.observe(got, &got.hints, &ctx);
-                    assert!(
-                        verdict.next_rate.is_none() || verdict.next_rate == Some(lead.rate),
-                        "link policy {:?} declared adapts_rate() == false but asked to \
-                         steer the transmit rate",
-                        policy.name()
-                    );
+                    link_verdict(policy.as_mut(), false, got, &ctx);
                 }
                 member.observed = done;
                 // Each member applies its own rule to its own tally at
@@ -2170,10 +2185,11 @@ struct CellNode {
     /// attempt `a` draws exactly the seeds point-to-point packet `a`
     /// draws, which is what makes a 1-node cell a strict generalization.
     attempts: u64,
-    /// Logical packets *started* — the packet-seed index of a
-    /// soft-combining HARQ node, whose retransmissions keep the payload
-    /// (and seed) of the open packet and draw per-attempt channel noise
-    /// through [`harq_attempt_seed`] instead.
+    /// Packets closed so far — the index of the open packet, which is
+    /// the packet-seed index of a soft-combining HARQ node: its
+    /// retransmissions keep the payload (and seed) of the open packet
+    /// and draw per-attempt channel noise through [`harq_attempt_seed`].
+    /// Only combining nodes read it.
     logical: u64,
     /// Packets queued at this node (head-of-queue is retransmitted until
     /// its link session closes it).
@@ -2195,13 +2211,14 @@ const ARRIVAL_STREAM: u64 = 0xA221_0000_0000_0000;
 /// backoff state, and the overlapping transmissions resolve through the
 /// capture model ([`resolve_slot`]) — per-node link gains come from the
 /// scenario's seed-addressed [`ChannelModel`], so the whole cell is a
-/// pure function of `(scenario seed, node, attempt)`. The surviving
-/// transmission (if any) runs the full PHY chain — transmit, per-node
-/// channel realization, residual interference as noise, receive, decode —
-/// and is observed by that node's own [`LinkPolicy`] session; destroyed
-/// transmissions are observed as total corruption with zero-confidence
-/// hints. Node 0 of a 1-node cell draws exactly the seeds the
-/// point-to-point path draws, attempt for attempt.
+/// pure function of `(scenario seed, node, attempt)`. Every transmission
+/// is then one attempt of the sequential body, observed by that node's
+/// own [`LinkPolicy`] session: it runs the full PHY chain — transmit,
+/// per-node channel realization, the other arrivals as noise, receive,
+/// HARQ combine, decode — unless the medium destroyed it and the node
+/// does not combine, in which case it is observed as total corruption
+/// with zero-confidence hints. Node 0 of a 1-node cell draws exactly the
+/// seeds the point-to-point path draws, attempt for attempt.
 fn run_cell(
     system: &WilisSystem,
     channels: &ChannelSlot,
@@ -2213,16 +2230,10 @@ fn run_cell(
 ) -> Result<ScenarioResult, RegistryError> {
     let nodes = sc.nodes as usize;
     let slots = u64::from(sc.packets);
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
     // Every node transmits at the scenario rate toward one receiver, so a
     // single receiver (and estimator) serves the whole cell.
-    let (mut rx, estimator) = bank.take(sc.rate).expect("receiver built above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
-
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
+    let (mut rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
+    let mut channel = build_channel(channels, sc)?;
     let noise_power = SnrDb::new(sc.snr_db).noise_power();
     let capture_db = sc
         .contention_params
@@ -2235,11 +2246,7 @@ fn run_cell(
         cell_nodes.push(CellNode {
             policy: contentions.build(&sc.contention, &sc.contention_params)?,
             backoff: BackoffState::new(mix_seed(sc.seed, BACKOFF_STREAM | n as u64)),
-            link: if sc.link == "none" {
-                None
-            } else {
-                Some(links.build(&sc.link, &runtime_link_params(sc))?)
-            },
+            link: build_link(links, sc)?,
             arrivals: SmallRng::seed_from_u64(mix_seed(sc.seed, ARRIVAL_STREAM | n as u64)),
             attempts: 0,
             logical: 0,
@@ -2248,16 +2255,7 @@ fn run_cell(
         });
     }
 
-    let transmitter = Transmitter::new(sc.rate);
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut mother: Vec<Llr> = Vec::new();
-    let mut got = RxResult::default();
-    let mut collided = RxResult {
-        decoder_id: "collided",
-        ..RxResult::default()
-    };
+    let mut buf = AttemptBuffers::default();
     let mut tally = PacketTally::new();
     let mut metrics = CellMetrics::new(sc.nodes, slots, sc.payload_bits as u64);
     let mut decoded: u64 = 0;
@@ -2312,27 +2310,17 @@ fn run_cell(
         powers.clear();
         for &n in &txs {
             let node = &mut cell_nodes[n];
-            let attempt = node.attempts;
-            node.attempts += 1;
-            let harq_attempt = node
-                .link
-                .as_mut()
-                .and_then(|l| l.harq())
-                .map(|c| c.attempt());
-            let (ident, packet_seed, attempt_seed) = match harq_attempt {
-                // A soft-combining node keys payload identity to its
-                // open logical packet; retransmissions draw fresh noise
-                // from the HARQ attempt stream while attempt 0 matches
-                // the plain draw exactly.
-                Some(a) => {
-                    let ps = mix_seed(sc.seed, node.logical | ((n as u64) << 32));
-                    (node.logical, ps, harq_attempt_seed(ps, a))
-                }
-                None => {
-                    let ps = mix_seed(sc.seed, attempt | ((n as u64) << 32));
-                    (attempt, ps, ps)
-                }
+            // A soft-combining node keys payload identity to its open
+            // logical packet and draws per-attempt noise from the HARQ
+            // attempt stream; any other node's transmission is a fresh
+            // packet at attempt 0, whose seed is the plain packet seed.
+            let (ident, attempt) = match node.link.as_mut().and_then(|l| l.harq()) {
+                Some(core) => (node.logical, core.attempt()),
+                None => (node.attempts, 0),
             };
+            node.attempts += 1;
+            let packet_seed = mix_seed(sc.seed, ident | ((n as u64) << 32));
+            let attempt_seed = harq_attempt_seed(packet_seed, attempt);
             let chan_seed = mix_seed(attempt_seed, 1);
             powers.push(TxPower {
                 node: n,
@@ -2350,189 +2338,87 @@ fn run_cell(
         let survivor = outcome.survivor();
 
         for &(n, ident, packet_seed, attempt_seed, chan_seed) in &slot_txs {
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
-            payload.clear();
-            payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (ident % 127 + 1) as u8;
+            fill_payload(&mut buf.payload, packet_seed, sc.payload_bits);
+            let scramble = scramble_seed(ident);
             let bits = sc.payload_bits as u64;
             metrics.per_node[n].attempts += 1;
             metrics.per_node[n].bits_transmitted += bits;
 
             let survived = survivor == Some(n);
-            let is_harq = cell_nodes[n]
-                .link
-                .as_mut()
-                .is_some_and(|l| l.harq().is_some());
-            if is_harq {
-                // HARQ under collisions: every attempt — survivor or
-                // destroyed — runs the full PHY and feeds the combiner.
-                // A destroyed attempt's plane is corrupted by the other
-                // arrivals as interference noise rather than discarded,
-                // and the node decodes the *combined* plane either way.
-                let phase = cell_nodes[n]
-                    .link
-                    .as_mut()
-                    .and_then(|l| l.harq())
-                    .map(|c| c.tx_phase())
-                    .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
-                Transmitter::with_phase(sc.rate, phase).tx_into(
-                    &payload,
-                    scramble_seed,
-                    &mut scratch,
-                    &mut samples,
-                );
-                channel.apply(&mut samples, chan_seed);
-                if survived {
-                    if let SlotOutcome::Captured {
-                        gain, interference, ..
-                    } = outcome
-                    {
-                        if interference > 0.0 {
-                            AwgnChannel::new(
-                                SnrDb::from_linear(gain / interference),
-                                mix_seed(attempt_seed, 2),
-                            )
-                            .apply(&mut samples);
-                        }
+            if !survived {
+                metrics.per_node[n].collisions += 1;
+            }
+            let node = &mut cell_nodes[n];
+            let core = node.link.as_mut().and_then(|l| l.harq());
+            let (errs, predicted) = if !survived && core.is_none() {
+                // Destroyed, and nothing retains the attempt: every bit
+                // wrong, zero confidence — the receiver never locked on.
+                let got = &mut buf.got;
+                got.payload.clear();
+                got.payload.extend(buf.payload.iter().map(|b| b ^ 1));
+                got.hints.clear();
+                got.hints.resize(buf.payload.len(), 0);
+                got.soft_magnitudes.clear();
+                got.soft_magnitudes.resize(buf.payload.len(), 0);
+                got.decoder_id = "collided";
+                (bits, 0.0)
+            } else {
+                // A survivor, or a combining node's destroyed attempt:
+                // the full PHY runs, and the other arrivals corrupt the
+                // signal as Gaussian noise rather than erase it. The
+                // node's channel genie-equalized the signal to unit
+                // power, so a captured survivor sees the losers at
+                // `interference / gain` and a destroyed attempt sees the
+                // whole slot at `others / own`.
+                let phase = core.as_ref().map_or(0, |c| c.tx_phase());
+                buf.transmit(sc.rate, phase, scramble, channel.as_mut(), chan_seed);
+                let sinr = if survived {
+                    match outcome {
+                        SlotOutcome::Captured {
+                            gain, interference, ..
+                        } if interference > 0.0 => Some(gain / interference),
+                        _ => None,
                     }
                 } else {
-                    // Destroyed: the concurrent arrivals bury the signal
-                    // at its slot SINR — corrupted, not erased.
-                    metrics.per_node[n].collisions += 1;
                     let own = powers
                         .iter()
                         .find(|t| t.node == n)
                         .map(|t| t.gain)
                         .unwrap_or(0.0);
                     let others: f64 = powers.iter().filter(|t| t.node != n).map(|t| t.gain).sum();
-                    if others > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(own / others),
-                            mix_seed(attempt_seed, 2),
-                        )
-                        .apply(&mut samples);
-                    }
-                }
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                let node = &mut cell_nodes[n];
-                let link = node.link.as_mut().expect("a combining core implies a link"); // lint: allow(panic-policy) — guarded by is_harq
-                {
-                    let core = link
-                        .harq()
-                        .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
-                    core.absorb(&mother);
-                    rx.rx_decode_from(
-                        core.plane(),
-                        payload.len(),
-                        scramble_seed,
-                        &mut scratch,
-                        &mut got,
-                    );
-                }
-                decoded += 1;
-                let (errs, predicted) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
+                    (others > 0.0).then(|| own / others)
                 };
-                let verdict = link.observe(&got, &got.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                let (closes, delivered) = match verdict.status {
-                    LinkStatus::Delivered => (true, true),
-                    LinkStatus::GaveUp => (true, false),
-                    LinkStatus::Retransmit => (false, false),
-                };
-                if closes {
-                    node.queue = node.queue.saturating_sub(1);
-                    node.logical += 1;
-                    if delivered {
-                        metrics.per_node[n].delivered += 1;
-                        metrics.per_node[n].bits_delivered += bits;
-                    }
+                if let Some(sinr) = sinr {
+                    AwgnChannel::new(SnrDb::from_linear(sinr), mix_seed(attempt_seed, 2))
+                        .apply(&mut buf.samples);
                 }
-                node.policy.acked(survived && errs == 0, &mut node.backoff);
-                continue;
-            }
-            let (errs, predicted, rx_result): (u64, f64, &RxResult) = if survived {
-                transmitter.tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-                channel.apply(&mut samples, chan_seed);
-                if let SlotOutcome::Captured {
-                    gain, interference, ..
-                } = outcome
-                {
-                    // The node's channel genie-equalized the signal to
-                    // unit power, so the losing arrivals degrade it as
-                    // extra Gaussian noise at `interference / gain`.
-                    if interference > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(gain / interference),
-                            mix_seed(packet_seed, 2),
-                        )
-                        .apply(&mut samples);
-                    }
-                }
-                rx.rx_from(
-                    &samples,
-                    payload.len(),
-                    scramble_seed,
-                    &mut scratch,
-                    &mut got,
-                );
+                buf.receive(&mut rx, core, phase, scramble);
                 decoded += 1;
-                let (e, p) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                (e, p, &got)
-            } else {
-                // Destroyed by the medium: every bit wrong, zero
-                // confidence — the receiver never locked onto it.
-                metrics.per_node[n].collisions += 1;
-                collided.payload.clear();
-                collided.payload.extend(payload.iter().map(|b| b ^ 1));
-                collided.hints.clear();
-                collided.hints.resize(payload.len(), 0);
-                collided.soft_magnitudes.clear();
-                collided.soft_magnitudes.resize(payload.len(), 0);
-                (bits, 0.0, &collided)
+                tally.observe(&buf.payload, &buf.got, estimator.as_ref(), record)
             };
 
-            let node = &mut cell_nodes[n];
-            let mut closes = true;
-            let delivered = if let Some(link) = node.link.as_mut() {
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
-                };
-                let verdict = link.observe(rx_result, &rx_result.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                match verdict.status {
-                    LinkStatus::Delivered => true,
-                    LinkStatus::GaveUp => false,
-                    LinkStatus::Retransmit => {
-                        closes = false;
-                        false
+            let (closes, delivered) = match node.link.as_mut() {
+                Some(link) => {
+                    let ctx = LinkContext {
+                        sent: &buf.payload,
+                        bit_errors: errs,
+                        predicted_pber: predicted,
+                        rate: sc.rate,
+                        oracle: Oracle::Unavailable,
+                    };
+                    match link_verdict(link.as_mut(), false, &buf.got, &ctx).status {
+                        LinkStatus::Delivered => (true, true),
+                        LinkStatus::GaveUp => (true, false),
+                        LinkStatus::Retransmit => (false, false),
                     }
                 }
-            } else {
-                errs == 0
+                None => (true, errs == 0),
             };
             if closes {
                 node.queue = node.queue.saturating_sub(1);
+                // Only a combining node reads `logical`, so counting
+                // closed packets on every node is harmless.
+                node.logical += 1;
                 if delivered {
                     metrics.per_node[n].delivered += 1;
                     metrics.per_node[n].bits_delivered += bits;
@@ -3220,6 +3106,40 @@ mod tests {
         let scenarios = SweepGrid::new().contentions(&["csma"]).nodes(0).scenarios();
         let err = SweepRunner::new(1).run(&scenarios).unwrap_err();
         assert!(err.to_string().contains("at least one node"), "{err}");
+    }
+
+    /// Preflight must reject a bad value before any job runs, naming the
+    /// offending grid index.
+    fn assert_preflight_rejects(grid: SweepGrid, needle: &str) {
+        let mut scenarios = SweepGrid::new().packets(2).payload_bits(64).scenarios();
+        scenarios.extend(grid.scenarios());
+        match SweepRunner::new(1).run(&scenarios).unwrap_err() {
+            RegistryError::InvalidConfig { message } => assert!(
+                message.contains("scenario 1") && message.contains(needle),
+                "{message}"
+            ),
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_snr_is_rejected() {
+        assert_preflight_rejects(SweepGrid::new().snrs_db(&[f64::NAN]), "snr_db");
+        assert_preflight_rejects(SweepGrid::new().snrs_db(&[f64::INFINITY]), "snr_db");
+    }
+
+    #[test]
+    fn empty_payload_is_rejected() {
+        // Soft decoders used to panic in a worker on an empty packet.
+        assert_preflight_rejects(
+            SweepGrid::new().decoders(&["sova"]).payload_bits(0),
+            "zero payload bits",
+        );
+    }
+
+    #[test]
+    fn zero_packet_budget_is_rejected() {
+        assert_preflight_rejects(SweepGrid::new().packets(0), "zero packet budget");
     }
 
     #[test]

@@ -546,31 +546,38 @@ impl ResultStore {
             ..Self::default()
         };
         let mut attempt: u64 = 0;
-        let text = loop {
+        // Bytes, not a String: one non-UTF-8 byte must cost its own line,
+        // never the whole file (a later `compact` would rewrite the file
+        // from whatever loaded).
+        let bytes = loop {
             let injected = matches!(&store.faults,
                 Some(f) if f.fires(FaultSite::StoreRead, attempt));
             let outcome = if injected {
                 store.read_faults += 1;
                 Err(std::io::Error::other("injected store read fault"))
             } else {
-                std::fs::read_to_string(&path)
+                std::fs::read(&path)
             };
             match outcome {
-                Ok(text) => break text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break String::new(),
+                Ok(bytes) => break bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break Vec::new(),
                 Err(_) => {
                     attempt += 1;
                     if attempt >= STORE_ATTEMPTS {
                         store.io_errors += 1;
-                        break String::new();
+                        break Vec::new();
                     }
                     store.retries += 1;
                 }
             }
         };
-        store.bytes_on_disk = text.len() as u64;
-        store.tail_torn = !text.is_empty() && !text.ends_with('\n');
-        for line in text.lines() {
+        store.bytes_on_disk = bytes.len() as u64;
+        store.tail_torn = bytes.last().is_some_and(|&b| b != b'\n');
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                store.skipped += 1;
+                continue;
+            };
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -955,6 +962,44 @@ mod tests {
         assert_eq!(reloaded.skipped(), 1);
         assert!(reloaded.get(&sample_key(1)).is_some());
         assert!(reloaded.get(&sample_key(3)).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_non_utf8_line_costs_only_itself() {
+        let path = std::env::temp_dir().join(format!(
+            "wilis_store_utf8_test_{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut store = ResultStore::at_path(&path);
+            store.insert(sample_key(1), sample_result());
+            store.insert(sample_key(2), sample_result());
+        }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(b"{\"key\": \"\xFF\"}\n"))
+            .expect("append a non-UTF-8 line");
+        {
+            let mut store = ResultStore::at_path(&path);
+            store.insert(sample_key(3), sample_result());
+        }
+        let mut reloaded = ResultStore::at_path(&path);
+        assert_eq!(reloaded.loaded(), 3);
+        assert_eq!(reloaded.skipped(), 1);
+        assert_eq!(reloaded.io_errors(), 0);
+        reloaded.compact();
+        let compacted = ResultStore::at_path(&path);
+        assert_eq!(compacted.loaded(), 3);
+        assert_eq!(compacted.skipped(), 0);
+        for k in 1..=3 {
+            assert!(
+                compacted.get(&sample_key(k)).is_some(),
+                "record {k} survives"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,7 +1,8 @@
 //! Contention-cell acceptance properties: the cell dimension must be a
 //! *strict generalization* of the point-to-point engine (a 1-node CSMA
-//! cell reproduces the `ArqLink` path bit for bit), and the TDMA oracle
-//! must bound every contending policy from above with zero collisions.
+//! cell reproduces the `ArqLink` and `harq-cc` paths bit for bit), and
+//! the TDMA oracle must bound every contending policy from above with
+//! zero collisions.
 
 use wilis::phy::PhyRate;
 use wilis::scenario::{ScenarioResult, SweepGrid, SweepRunner};
@@ -75,6 +76,88 @@ fn one_node_csma_cell_reproduces_p2p_arq_bit_for_bit() {
             "{point}: the contention layer must be a strict generalization"
         );
     }
+}
+
+/// The HARQ form of the strict-generalization property: a 1-node CSMA
+/// `harq-cc` cell runs the same attempt chains as a p2p `harq-cc` run —
+/// payload keyed to the open logical packet, retransmissions drawing the
+/// HARQ attempt stream, every attempt combined into the retained plane —
+/// so tally, hint bins, PBER, and every HARQ counter are bit-identical.
+/// The slot budget is trimmed until its last logical packet closes inside
+/// it, and the p2p run covers exactly the closed packets.
+#[test]
+fn one_node_csma_cell_reproduces_p2p_harq_bit_for_bit() {
+    let cell_grid = |snr_db: f64, seed: u64, slots: u32| {
+        SweepGrid::new()
+            .decoders(&["bcjr"])
+            .links(&["harq-cc"])
+            .contentions(&["csma"])
+            .nodes(1)
+            .snrs_db(&[snr_db])
+            .seeds(&[seed])
+            .packets(slots)
+            .payload_bits(300)
+    };
+    let mut retransmitted = 0u64;
+    for &(snr_db, seed) in &[(30.0, 1u64), (6.5, 3), (5.5, 7), (5.0, 11), (9.0, 99)] {
+        let point = format!("@{snr_db}dB seed{seed}");
+        // A 1-node cell's schedule never looks ahead, so a shorter budget
+        // runs a prefix of a longer one: trim until the open packet is
+        // gone (the attempts of closed packets account for all of them).
+        let (cell, link) = (1..=16u32)
+            .rev()
+            .find_map(|slots| {
+                let cell = run_one(cell_grid(snr_db, seed, slots));
+                let link = cell.link.expect("cell harq metrics");
+                let closed_attempts: u64 = link
+                    .attempts_hist
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| (i as u64 + 1) * n)
+                    .sum();
+                (link.packets == closed_attempts).then_some((cell, link))
+            })
+            .expect("some budget ends on a closed packet");
+        let c = cell.cell.as_ref().expect("cell metrics");
+        assert_eq!(c.collision_slots, 0, "{point}: a lone node cannot collide");
+        assert_eq!(cell.packets, c.attempts(), "{point}");
+        assert_eq!(
+            cell.packets, link.packets,
+            "{point}: one receive per attempt"
+        );
+        let closed = link.delivered + link.gave_up;
+        assert!(closed >= 1, "{point}");
+        retransmitted += link.packets - closed;
+
+        let p2p = run_one(
+            SweepGrid::new()
+                .decoders(&["bcjr"])
+                .links(&["harq-cc"])
+                .snrs_db(&[snr_db])
+                .seeds(&[seed])
+                .packets(closed as u32)
+                .payload_bits(300),
+        );
+        assert_eq!(cell.packets, p2p.packets, "{point}");
+        assert_eq!(cell.bits, p2p.bits, "{point}");
+        assert_eq!(cell.bit_errors, p2p.bit_errors, "{point}");
+        assert_eq!(cell.packet_errors, p2p.packet_errors, "{point}");
+        assert_eq!(cell.hint_bins, p2p.hint_bins, "{point}");
+        assert_eq!(
+            cell.predicted_pber_sum.to_bits(),
+            p2p.predicted_pber_sum.to_bits(),
+            "{point}"
+        );
+        assert_eq!(
+            link,
+            p2p.link.expect("p2p harq metrics"),
+            "{point}: the contention layer must be a strict generalization"
+        );
+    }
+    assert!(
+        retransmitted > 0,
+        "no operating point retransmitted, so no attempt chain was compared"
+    );
 }
 
 /// Saturated contention shoot-out at one operating point, all three

@@ -234,6 +234,80 @@ fn supervised_sweep_happy_path_allocates_nothing_per_packet() {
     );
 }
 
+/// The sequential body — the solo attempt loop behind HARQ chains and
+/// the contention cell's per-transmission loop — must cost only per-job
+/// overhead, never per-packet: doubling the packet (slot) budget of a
+/// `harq-cc` grid and of 4-node ALOHA cells must not change the
+/// allocation count or the bytes requested. The cells run with and
+/// without a combining link, so both a destroyed attempt's short-circuit
+/// and a combining node's full receive under interference are covered.
+/// Delta equality, like the fused-sweep proof, because the sweep spawns
+/// worker threads.
+#[test]
+fn sequential_body_allocates_nothing_per_packet() {
+    let _serial = alloc_count::lock();
+    let harq = |packets: u32| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["sova", "bcjr"])
+            .links(&["harq-cc"])
+            .snrs_db(&[7.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    };
+    let cell = |slots: u32| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["bcjr"])
+            .links(&["none", "harq-cc"])
+            .contentions(&["aloha"])
+            .contention_param("p", "0.3")
+            .nodes(4)
+            .snrs_db(&[10.0])
+            .seeds(&[9])
+            .packets(slots)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    };
+    let runner = SweepRunner::new(1);
+    for grid in [harq, cell] {
+        // Warm-up run: one-time statics (constellation tables, registries).
+        runner.run(&grid(4)).expect("stock names");
+
+        let before_small = global_allocs();
+        let before_small_bytes = global_alloc_bytes();
+        let small = runner.run(&grid(40)).expect("stock names");
+        let delta_small = global_allocs() - before_small;
+        let bytes_small = global_alloc_bytes() - before_small_bytes;
+
+        let before_large = global_allocs();
+        let before_large_bytes = global_alloc_bytes();
+        let large = runner.run(&grid(80)).expect("stock names");
+        let delta_large = global_allocs() - before_large;
+        let bytes_large = global_alloc_bytes() - before_large_bytes;
+
+        assert_eq!(small.len(), 2);
+        assert!(
+            large.iter().zip(&small).all(|(l, s)| l.packets > s.packets),
+            "the larger budget ran more attempts"
+        );
+        assert_eq!(
+            delta_small, delta_large,
+            "doubling the budget changed the allocation count \
+             ({delta_small} vs {delta_large}): the sequential body allocates \
+             per packet"
+        );
+        assert_eq!(
+            bytes_small, bytes_large,
+            "doubling the budget changed the bytes requested \
+             ({bytes_small} vs {bytes_large}): the sequential body allocates \
+             per packet"
+        );
+    }
+}
+
 /// The warm HARQ retry path — retransmit at a scheduled phase, front-end
 /// into the mother plane, combine into the retained plane, re-decode the
 /// combined plane — must allocate nothing (zero events *and* zero bytes)
